@@ -448,7 +448,11 @@ def build_graph_index(
                 "approx.build.round", round=r, candidates=evals
             ):
                 D = candidate_distances(X, X, C, X2=X2, Q2=X2)
-                new_d, new_i = merge_topk(cur_d, cur_i, D, C, k_build)
+                new_d, new_i = merge_topk(
+                    np.concatenate([cur_d, D], axis=1),
+                    np.concatenate([cur_i, C], axis=1),
+                    k_build,
+                )
             changed = float((new_i != cur_i).any(axis=1).mean())
             update_fractions.append(changed)
             is_new = ~(

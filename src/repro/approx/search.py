@@ -275,22 +275,9 @@ def _search_block(
         X2 = index.squared_norms()
         Q2 = squared_norms(Q)
         D = candidate_distances(index.X, Q, pool_ip, X2=X2, Q2=Q2)
-        out_d, out_i = merge_topk(
-            D,
-            pool_ip,
-            np.full((m, 1), np.inf),
-            np.full((m, 1), -1, dtype=np.intp),
-            k,
-        )
+        out_d, out_i = merge_topk(D, pool_ip, k)
     else:
-        # merge_topk against an empty list = dedup + truncate
-        out_d, out_i = merge_topk(
-            pool_d.astype(np.float64),
-            pool_ip,
-            np.full((m, 1), np.inf),
-            np.full((m, 1), -1, dtype=np.intp),
-            k,
-        )
+        out_d, out_i = merge_topk(pool_d.astype(np.float64), pool_ip, k)
     return out_d, out_i, hops, entry_evals, candidate_evals, rerank_evals
 
 

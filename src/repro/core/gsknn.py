@@ -295,12 +295,10 @@ def gsknn(
     m, n = q_idx.size, r_idx.size
 
     # One-shot calls run through an *ephemeral* plan (lazy import: the
-    # plan module imports this one at load time). Panels are gathered
-    # per block as before and the NullArena allocates fresh buffers, so
-    # this path's work, spans and memory profile are exactly the
-    # historical fast path's; the plan layer just owns the loop nest.
-    # Callers with repeated queries build a GsknnPlan and keep it.
-    from .arena import NullArena
+    # plan module imports this one at load time): panels stream per block
+    # into an arena borrowed from the plan's private pool, which is freed
+    # with the plan when the call returns. Callers with repeated queries
+    # build a GsknnPlan and keep it.
     from .membudget import MemoryBudget
     from .plan import GsknnPlan
 
@@ -327,18 +325,10 @@ def gsknn(
         with _trace.span(
             "gsknn", variant=int(var), m=m, n=n, d=X.shape[1], k=k
         ):
-            if budget is None:
+            with plan.arena_pool.borrow() as arena:
                 result = plan._execute_impl(
-                    q_idx, k, var, initial, "legacy", NullArena(), stats
+                    q_idx, k, var, initial, arena, stats
                 )
-            else:
-                # Budgeted one-shot: a real (budget-charging) arena and
-                # the masked select — panels stream from X per tile, so
-                # a memmapped table never materializes in RAM.
-                with plan.arena_pool.borrow() as arena:
-                    result = plan._execute_impl(
-                        q_idx, k, var, initial, "masked", arena, stats
-                    )
 
         registry = _get_registry()
         if registry.enabled:

@@ -6,7 +6,9 @@ the paper's ``N(i, :)`` holds global indices ``r(j)``). The approximate
 outer solvers (:mod:`repro.trees`) repeatedly merge kernel results from
 different groupings — :func:`merge_neighbor_lists` implements that
 update with id-level deduplication so a reference seen in two iterations
-cannot occupy two slots of the same list.
+cannot occupy two slots of the same list. Every merge is
+:func:`~repro.select.vectorized.merge_topk`: ``(distance, id)`` order,
+ids deduplicated.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
+from ..select.vectorized import merge_topk
 
 __all__ = [
     "KnnResult",
     "merge_neighbor_lists",
-    "merge_neighbor_lists_fast",
     "merge_topk",
     "intersection_counts",
     "recall",
@@ -105,118 +107,23 @@ class KnnResult:
 def merge_neighbor_lists(a: KnnResult, b: KnnResult) -> KnnResult:
     """Merge two neighbor lists for the same queries, deduplicating ids.
 
-    Keeps, per query, the k smallest-distance entries over the union of
-    both lists, counting each reference id at most once (the smaller
-    distance wins; for exact kernels duplicates agree anyway). ``-1``
-    (unfilled) entries never win over real candidates.
+    Keeps, per query, the k smallest ``(distance, id)`` pairs over the
+    union of both lists, counting each reference id at most once (the
+    smaller distance wins). ``-1`` (unfilled) entries never win over
+    real candidates. A :class:`KnnResult` view of :func:`merge_topk`.
     """
     if a.distances.shape != b.distances.shape:
         raise ValidationError(
             f"cannot merge neighbor lists of shapes {a.distances.shape} "
             f"and {b.distances.shape}"
         )
-    m, k = a.distances.shape
-    cat_dist = np.concatenate([a.distances, b.distances], axis=1)
-    cat_idx = np.concatenate([a.indices, b.indices], axis=1)
-
-    # Sort each row by distance, then mask out repeated ids keeping the
-    # first (= smallest-distance) occurrence.
-    order = np.argsort(cat_dist, axis=1, kind="stable")
-    rows = np.arange(m)[:, None]
-    sorted_dist = cat_dist[rows, order]
-    sorted_idx = cat_idx[rows, order]
-
-    out_dist = np.full((m, k), np.inf, dtype=np.float64)
-    out_idx = np.full((m, k), -1, dtype=np.intp)
-    for i in range(m):
-        seen: set[int] = set()
-        pos = 0
-        for dist, ident in zip(sorted_dist[i], sorted_idx[i]):
-            if ident < 0 or ident in seen:
-                continue
-            seen.add(int(ident))
-            out_dist[i, pos] = dist
-            out_idx[i, pos] = ident
-            pos += 1
-            if pos == k:
-                break
-    return KnnResult(out_dist, out_idx)
-
-
-def merge_topk(
-    dist_a: np.ndarray,
-    idx_a: np.ndarray,
-    dist_b: np.ndarray,
-    idx_b: np.ndarray,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise dedup-merge of two candidate lists into their top ``k``.
-
-    The width-general core of :func:`merge_neighbor_lists_fast`: the two
-    lists must agree on row count but may have different widths (the
-    approximate tier merges a ``(m, k)`` pool with a ``(m, L)`` batch of
-    freshly evaluated candidates, L != k). Assumes duplicate ids carry
-    equal distances (true whenever both sides were computed exactly over
-    the same coordinate table). ``-1`` marks empty slots; rows shorter
-    than ``k`` distinct candidates pad with ``(+inf, -1)``.
-
-    Strategy: concatenate, sort each row by id so duplicates are
-    adjacent, blank repeats (id == previous and not the -1 sentinel) to
-    +inf, then top-k by distance.
-    """
-    if dist_a.shape[0] != dist_b.shape[0]:
-        raise ValidationError(
-            f"cannot merge candidate lists with {dist_a.shape[0]} and "
-            f"{dist_b.shape[0]} rows"
+    return KnnResult(
+        *merge_topk(
+            np.concatenate([a.distances, b.distances], axis=1),
+            np.concatenate([a.indices, b.indices], axis=1),
+            a.k,
         )
-    cat_dist = np.concatenate([dist_a, dist_b], axis=1)
-    cat_idx = np.concatenate([idx_a, idx_b], axis=1)
-    m, width = cat_dist.shape
-    rows = np.arange(m)[:, None]
-
-    by_id = np.argsort(cat_idx, axis=1, kind="stable")
-    id_sorted = cat_idx[rows, by_id]
-    dist_sorted = cat_dist[rows, by_id]
-    dup = np.zeros_like(id_sorted, dtype=bool)
-    dup[:, 1:] = (id_sorted[:, 1:] == id_sorted[:, :-1]) & (id_sorted[:, 1:] >= 0)
-    dist_sorted = np.where(dup, np.inf, dist_sorted)
-    # -1 sentinels must never beat real candidates
-    dist_sorted = np.where(id_sorted < 0, np.inf, dist_sorted)
-
-    if k < width:
-        part = np.argpartition(dist_sorted, k - 1, axis=1)[:, :k]
-        top_dist = dist_sorted[rows, part]
-        top_idx = id_sorted[rows, part]
-    else:
-        top_dist, top_idx = dist_sorted, id_sorted
-    order = np.argsort(top_dist, axis=1, kind="stable")
-    out_dist = top_dist[rows, order]
-    out_idx = np.where(np.isinf(out_dist), -1, top_idx[rows, order])
-    if k > width:
-        pad = k - width
-        out_dist = np.pad(out_dist, ((0, 0), (0, pad)), constant_values=np.inf)
-        out_idx = np.pad(out_idx, ((0, 0), (0, pad)), constant_values=-1)
-    return out_dist, out_idx
-
-
-def merge_neighbor_lists_fast(a: KnnResult, b: KnnResult) -> KnnResult:
-    """Vectorized dedup-merge — the hot path of the iterative solvers.
-
-    Semantics match :func:`merge_neighbor_lists` whenever duplicate ids
-    carry equal distances (always true when both lists come from exact
-    kernels over the same coordinate table, the solvers' case): rows are
-    merged, each id kept once, the k smallest survive. See
-    :func:`merge_topk` for the underlying algorithm.
-    """
-    if a.distances.shape != b.distances.shape:
-        raise ValidationError(
-            f"cannot merge neighbor lists of shapes {a.distances.shape} "
-            f"and {b.distances.shape}"
-        )
-    out_dist, out_idx = merge_topk(
-        a.distances, a.indices, b.distances, b.indices, a.k
     )
-    return KnnResult(out_dist, out_idx)
 
 
 def intersection_counts(want: np.ndarray, got: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.neighbors import KnnResult, merge_neighbor_lists_fast
+from ..core.neighbors import KnnResult, merge_neighbor_lists
 from ..core.norm_cache import cached_squared_norms
 from ..core.ref_kernel import ref_knn
 from ..errors import ValidationError
@@ -565,7 +565,7 @@ class DistributedAllKnn:
         dists: np.ndarray,
         ids: np.ndarray,
     ) -> None:
-        merged = merge_neighbor_lists_fast(
+        merged = merge_neighbor_lists(
             KnnResult(current.distances[rows], current.indices[rows]),
             KnnResult(dists, ids),
         )

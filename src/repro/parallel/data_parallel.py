@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..core.gsknn import gsknn, _resolve_auto_variant
-from ..core.neighbors import KnnResult, merge_neighbor_lists
+from ..core.neighbors import KnnResult, merge_topk
 from ..core.norms import Norm
 from ..obs import trace as _trace
 from ..obs.context import coerce_request, current_request, request_scope
@@ -241,17 +241,12 @@ def gsknn_reference_parallel(
     ) as pool:
         partials = list(pool.map(worker, chunks))
 
-    # Pad any short partial lists (chunk smaller than k) to width k, then
-    # fold them together with the dedup merge.
-    def widen(res: KnnResult) -> KnnResult:
-        if res.k == k:
-            return res
-        pad = k - res.k
-        dist = np.pad(res.distances, ((0, 0), (0, pad)), constant_values=np.inf)
-        idx = np.pad(res.indices, ((0, 0), (0, pad)), constant_values=-1)
-        return KnnResult(dist, idx)
-
-    merged = widen(partials[0])
-    for part in partials[1:]:
-        merged = merge_neighbor_lists(merged, widen(part))
-    return merged
+    # one dedup merge over all partial lists side by side (a chunk smaller
+    # than k contributes a narrower list)
+    return KnnResult(
+        *merge_topk(
+            np.concatenate([part.distances for part in partials], axis=1),
+            np.concatenate([part.indices for part in partials], axis=1),
+            k,
+        )
+    )

@@ -18,7 +18,8 @@ All scalar implementations count comparisons/moves via
 :class:`~repro.select.counters.SelectionStats` so Table 3's complexity rows
 can be measured, not just asserted. The production fast path used by the
 numpy GSKNN kernel is the batched vectorized merge in
-:mod:`repro.select.vectorized`.
+:mod:`repro.select.vectorized`, which also holds the one top-k merge
+(:func:`~repro.select.vectorized.merge_topk`) every driver uses.
 """
 
 from .bitonic import (
@@ -28,9 +29,9 @@ from .bitonic import (
 )
 from .counters import SelectionStats
 from .heap import BinaryMaxHeap, DHeap, heap_select_smallest
-from .mergeselect import merge_partial_topk, merge_select
+from .mergeselect import merge_select
 from .quickselect import quickselect_smallest
-from .vectorized import ArenaNeighborLists, BatchedNeighborLists, merge_block
+from .vectorized import ArenaNeighborLists, merge_topk
 
 __all__ = [
     "SelectionStats",
@@ -38,11 +39,9 @@ __all__ = [
     "DHeap",
     "heap_select_smallest",
     "quickselect_smallest",
-    "merge_partial_topk",
     "merge_select",
     "ArenaNeighborLists",
-    "BatchedNeighborLists",
-    "merge_block",
+    "merge_topk",
     "bitonic_sort_rows",
     "bitonic_merge_rows",
     "bitonic_merge_select_rows",

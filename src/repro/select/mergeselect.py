@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import ValidationError
 from .counters import SelectionStats
 
-__all__ = ["merge_partial_topk", "merge_select", "merge_sorted_lists"]
+__all__ = ["merge_select", "merge_sorted_lists"]
 
 
 def merge_sorted_lists(
@@ -56,44 +56,6 @@ def merge_sorted_lists(
             out_ids[pos] = b_ids[j]
             j += 1
     return out_values, out_ids
-
-
-def merge_partial_topk(
-    distances: np.ndarray,
-    indices: np.ndarray,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge per-shard partial top-k lists into the global top-k.
-
-    ``distances`` / ``indices`` are ``(m, R*k_part)`` row-wise
-    concatenations of R partial neighbor lists over *disjoint* reference
-    partitions, each ascending, padded with ``+inf`` / ``-1`` where a
-    partition held fewer than ``k_part`` candidates. Returns the global
-    ``(m, k)`` top-k per row, ascending by distance with ties broken by
-    ascending reference id — the canonical order the scatter/gather
-    router's single-process twin produces on tie-free data, and the
-    deterministic tie policy on degenerate data.
-
-    This is the vectorized gather-path counterpart of folding
-    :func:`merge_sorted_lists` over the R partials (the property tests
-    assert the equivalence); one stable lexsort over ``R*k_part``
-    candidates per row replaces R-1 scalar two-finger merges.
-    """
-    distances = np.asarray(distances, dtype=np.float64)
-    indices = np.asarray(indices)
-    if distances.shape != indices.shape or distances.ndim != 2:
-        raise ValidationError(
-            "distances/indices must be matching (m, R*k) arrays, got "
-            f"{distances.shape} and {indices.shape}"
-        )
-    total = distances.shape[1]
-    if k < 1 or k > total:
-        raise ValidationError(f"k must be in [1, {total}], got {k}")
-    # one flattened stable lexsort: primary distance, secondary id; the
-    # +inf pads (id -1) land after every finite candidate per row
-    order = np.lexsort((indices, distances), axis=1)[:, :k]
-    rows = np.arange(distances.shape[0])[:, None]
-    return distances[rows, order], indices[rows, order].astype(np.intp)
 
 
 def merge_select(

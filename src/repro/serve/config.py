@@ -39,7 +39,10 @@ class ServeConfig:
         Admission bound: total requests queued (not yet dispatched)
         across all tenants. At the bound, :meth:`submit` sheds with
         :class:`~repro.errors.OverloadError` instead of queueing into
-        collapse.
+        collapse. Each tenant may hold at most its ``tenant_weights``
+        share of the bound (split over the named tenants and any tenant
+        with queued requests), so one tenant's burst cannot shed
+        another's requests.
     slo_ms:
         Default per-request deadline in milliseconds, applied when the
         caller does not pass one. ``None`` means no default (requests

@@ -6,7 +6,7 @@ processes (:class:`~repro.shard.map.ShardMap` — panel-aligned so shard
 boundaries never split a GEMM tile), scatter each query batch to the
 owning shards, solve the fused kernel locally per shard against warm
 per-shard plans, and gather/merge the partial top-k lists
-(:func:`repro.select.mergeselect.merge_partial_topk`) into a result
+(:func:`repro.select.vectorized.merge_topk`) into a result
 **bit-identical** to a single-process solve on the same data.
 
 See docs/DISTRIBUTED.md for the shard map, the transport contract, and

@@ -5,7 +5,7 @@
 owns part of the reference table, run the fused kernel locally per
 shard (each shard keeps its panels packed in a warm plan), gather the
 partial top-k lists, and merge them with
-:func:`repro.select.mergeselect.merge_partial_topk`.
+:func:`repro.select.vectorized.merge_topk`.
 
 Because the shard map never splits a GEMM tile
 (:mod:`repro.shard.map`) and every shard pins the same ``norm`` /
@@ -44,7 +44,7 @@ from ..parallel.backends import _absorb_worker_obs
 from ..resilience.deadline import Deadline
 from ..resilience.faults import FaultPlan
 from ..resilience.retry import RetryPolicy, is_retryable
-from ..select.mergeselect import merge_partial_topk
+from ..select.vectorized import merge_topk
 from ..validation import as_index_array
 from .map import ShardMap
 from .transport import ShardWorld, resolve_transport
@@ -521,7 +521,7 @@ class ShardedAllKnn:
         k: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Pad ragged partials to a common width and merge via
-        :func:`merge_partial_topk` (ascending distance, ties by id)."""
+        :func:`merge_topk` (ascending distance, ties by id)."""
         width = max(p[0].shape[1] for p in partials.values())
         dist_cat = np.full((m, width * len(owners)), np.inf)
         idx_cat = np.full((m, width * len(owners)), -1, dtype=np.intp)
@@ -530,7 +530,7 @@ class ShardedAllKnn:
             lo = col * width
             dist_cat[:, lo : lo + dist.shape[1]] = dist
             idx_cat[:, lo : lo + idx.shape[1]] = idx
-        return merge_partial_topk(dist_cat, idx_cat, k)
+        return merge_topk(dist_cat, idx_cat, k)
 
     # -- introspection -------------------------------------------------------
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.gsknn import gsknn
-from ..core.neighbors import KnnResult, merge_neighbor_lists_fast, recall
+from ..core.neighbors import KnnResult, merge_neighbor_lists, recall
 from ..core.norms import squared_norms
 from ..core.ref_kernel import ref_knn
 from ..errors import ValidationError
@@ -100,7 +100,7 @@ def _run_kernel(
             np.pad(res.indices, ((0, 0), (0, pad)), constant_values=-1),
         )
     if initial is not None and not folded:
-        res = merge_neighbor_lists_fast(res, initial)
+        res = merge_neighbor_lists(res, initial)
     return res
 
 
@@ -278,8 +278,7 @@ def all_nearest_neighbors(
         :class:`~repro.core.plan.GsknnPlan` (default). All groups share
         one workspace arena pool, so the per-group distance/merge
         temporaries are allocated once per run instead of once per
-        group, and warm-started groups use the masked selection path.
-        Results are identical either way; ``False`` restores the plain
+        group. Results are identical either way; ``False`` restores the plain
         one-shot kernel calls. Pass an existing
         :class:`~repro.core.plan.PlanCache` to carry plans *across*
         solves: repeated solves over the same table with the same seed

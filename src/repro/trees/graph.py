@@ -5,20 +5,35 @@ hierarchical clustering, kernel machines) all consume the
 all-nearest-neighbor result as a graph. This module turns a
 :class:`~repro.core.neighbors.KnnResult` into a :mod:`networkx` graph
 and provides the sanity metrics a graph consumer checks before running
-spectral embeddings or label propagation on it.
+spectral embeddings or label propagation on it. :mod:`networkx` is
+the optional ``graph`` extra, imported only when a graph is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..core.neighbors import KnnResult
-from ..errors import ValidationError
+from ..errors import ConfigurationError, ValidationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["knn_graph", "GraphStats", "graph_stats", "mutual_knn_graph"]
+
+
+def _networkx():
+    try:
+        import networkx
+    except ImportError:
+        raise ConfigurationError(
+            "kNN graph export needs networkx: install the 'graph' extra "
+            "(pip install 'repro[graph]')"
+        ) from None
+    return networkx
 
 
 def knn_graph(
@@ -26,7 +41,7 @@ def knn_graph(
     *,
     include_self: bool = False,
     weight: str = "distance",
-) -> nx.Graph:
+) -> "nx.Graph":
     """Symmetrized kNN graph: an edge per (query, neighbor) pair.
 
     ``weight`` is ``"distance"`` (edge weight = the kernel's distance,
@@ -37,7 +52,7 @@ def knn_graph(
         raise ValidationError(
             f"weight must be 'distance' or 'similarity', got {weight!r}"
         )
-    graph = nx.Graph()
+    graph = _networkx().Graph()
     graph.add_nodes_from(range(result.m))
     for i in range(result.m):
         for dist, j in zip(result.distances[i], result.indices[i]):
@@ -53,7 +68,7 @@ def knn_graph(
     return graph
 
 
-def mutual_knn_graph(result: KnnResult) -> nx.Graph:
+def mutual_knn_graph(result: KnnResult) -> "nx.Graph":
     """Mutual-kNN graph: edge (i, j) only if each lists the other.
 
     The sparser, noise-robust variant clustering pipelines prefer.
@@ -61,7 +76,7 @@ def mutual_knn_graph(result: KnnResult) -> nx.Graph:
     neighbor_sets = [
         {int(j) for j in row if j >= 0} for row in result.indices
     ]
-    graph = nx.Graph()
+    graph = _networkx().Graph()
     graph.add_nodes_from(range(result.m))
     for i in range(result.m):
         for dist, j in zip(result.distances[i], result.indices[i]):
@@ -86,12 +101,12 @@ class GraphStats:
     largest_component_fraction: float
 
 
-def graph_stats(graph: nx.Graph) -> GraphStats:
+def graph_stats(graph: "nx.Graph") -> GraphStats:
     """The checks a graph consumer runs before trusting the graph."""
     if graph.number_of_nodes() == 0:
         raise ValidationError("cannot summarize an empty graph")
     degrees = np.array([deg for _, deg in graph.degree()])
-    components = list(nx.connected_components(graph))
+    components = list(_networkx().connected_components(graph))
     largest = max(len(c) for c in components)
     return GraphStats(
         n_nodes=graph.number_of_nodes(),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.neighbors import KnnResult, merge_neighbor_lists_fast
+from ..core.neighbors import KnnResult, merge_neighbor_lists
 from ..core.norm_cache import cached_squared_norms
 from ..errors import ValidationError
 from ..obs import trace as _trace
@@ -168,7 +168,7 @@ class StreamingAllKnn:
 
         Routed through the shard mirror when one is mounted (each shard
         solves its partition on a warm plan; partials merge via
-        :func:`~repro.select.mergeselect.merge_partial_topk`), otherwise
+        :func:`~repro.select.vectorized.merge_topk`), otherwise
         one in-process fused kernel — the two are bit-identical on the
         same membership, which the shard tests assert after churn.
         """
@@ -341,7 +341,7 @@ class StreamingAllKnn:
                        constant_values=np.inf),
                 np.pad(local.indices, ((0, 0), (0, pad)), constant_values=-1),
             )
-        merged = merge_neighbor_lists_fast(
+        merged = merge_neighbor_lists(
             KnnResult(self._distances[bucket], self._indices[bucket]), local
         )
         self._distances[bucket] = merged.distances

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.neighbors import KnnResult
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -45,11 +47,36 @@ def brute_force_knn(
     return D[rows, order], np.asarray(r_idx, dtype=np.intp)[order]
 
 
+def loop_merge(a: KnnResult, b: KnnResult) -> KnnResult:
+    """Per-row Python reference: walk the union in (distance, id) order,
+    keep each real id's first (smallest) occurrence, stop at k."""
+    m, k = a.distances.shape
+    dist = np.concatenate([a.distances, b.distances], axis=1)
+    idx = np.concatenate([a.indices, b.indices], axis=1)
+    out_d = np.full((m, k), np.inf)
+    out_i = np.full((m, k), -1, dtype=np.intp)
+    for i in range(m):
+        seen: set[int] = set()
+        pos = 0
+        for j in np.lexsort((idx[i], dist[i])):
+            ident = int(idx[i, j])
+            if ident < 0 or ident in seen:
+                continue
+            seen.add(ident)
+            out_d[i, pos], out_i[i, pos] = dist[i, j], ident
+            pos += 1
+            if pos == k:
+                break
+    return KnnResult(out_d, out_i)
+
+
 def assert_knn_equal(result, truth_dist, truth_ids, X=None, atol=1e-9):
     """Distances must match exactly (up to fp); ids may differ on ties.
 
     Where distances are tied, any id attaining the tied distance is
-    accepted (all kernels break ties arbitrarily, like the paper's).
+    accepted: :func:`brute_force_knn` orders ties by position in
+    ``r_idx``, the kernels by id (tests/core/test_tie_order.py pins the
+    ids).
     """
     got = np.sort(result.distances, axis=1)
     want = np.sort(truth_dist, axis=1)

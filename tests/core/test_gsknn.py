@@ -244,12 +244,12 @@ class TestWarmStart:
         return X, q, r1, r2, k
 
     def test_equals_merge_of_separate_solves(self, rng):
-        from repro.core.neighbors import merge_neighbor_lists_fast
+        from repro.core.neighbors import merge_neighbor_lists
 
         X, q, r1, r2, k = self._two_phase(rng)
         first = gsknn(X, q, r1, k)
         warm = gsknn(X, q, r2, k, initial=first, block_n=37)
-        cold = merge_neighbor_lists_fast(first, gsknn(X, q, r2, k))
+        cold = merge_neighbor_lists(first, gsknn(X, q, r2, k))
         np.testing.assert_allclose(
             np.sort(warm.distances, 1), np.sort(cold.distances, 1), atol=1e-12
         )
@@ -291,12 +291,12 @@ class TestWarmStart:
         np.testing.assert_allclose(warm.distances, plain.distances, atol=1e-12)
 
     def test_var6_with_initial(self, rng):
-        from repro.core.neighbors import merge_neighbor_lists_fast
+        from repro.core.neighbors import merge_neighbor_lists
 
         X, q, r1, r2, k = self._two_phase(rng)
         first = gsknn(X, q, r1, k)
         warm = gsknn(X, q, r2, k, variant=6, initial=first)
-        cold = merge_neighbor_lists_fast(first, gsknn(X, q, r2, k, variant=6))
+        cold = merge_neighbor_lists(first, gsknn(X, q, r2, k, variant=6))
         np.testing.assert_allclose(
             np.sort(warm.distances, 1), np.sort(cold.distances, 1), atol=1e-12
         )
@@ -322,7 +322,7 @@ class TestStatsCounters:
         assert counters.slow_writes == 10 * 100
 
     def test_warm_start_with_l1_norm(self, rng):
-        from repro.core.neighbors import merge_neighbor_lists_fast
+        from repro.core.neighbors import merge_neighbor_lists
 
         X = rng.random((400, 9))
         q = rng.integers(0, 400, 50)
@@ -331,7 +331,7 @@ class TestStatsCounters:
         k = 6
         first = gsknn(X, q, r1, k, norm="l1")
         warm = gsknn(X, q, r2, k, norm="l1", initial=first, block_n=23)
-        cold = merge_neighbor_lists_fast(first, gsknn(X, q, r2, k, norm="l1"))
+        cold = merge_neighbor_lists(first, gsknn(X, q, r2, k, norm="l1"))
         np.testing.assert_allclose(
             np.sort(warm.distances, 1), np.sort(cold.distances, 1), atol=1e-12
         )

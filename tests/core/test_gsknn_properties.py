@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.gsknn import gsknn, gsknn_exact_loops
-from repro.core.neighbors import merge_neighbor_lists_fast, KnnResult
+from repro.core.neighbors import merge_neighbor_lists, KnnResult
 from repro.core.ref_kernel import ref_knn
 from repro.config import BlockingParams
 
@@ -109,7 +109,7 @@ def test_split_reference_merge_equals_whole(problem):
             np.pad(res.indices, ((0, 0), (0, pad)), constant_values=-1),
         )
 
-    merged = merge_neighbor_lists_fast(padded(r[:half]), padded(r[half:]))
+    merged = merge_neighbor_lists(padded(r[:half]), padded(r[half:]))
     np.testing.assert_allclose(merged.distances, whole.distances, atol=1e-9)
 
 

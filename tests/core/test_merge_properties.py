@@ -6,11 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.neighbors import (
-    KnnResult,
-    merge_neighbor_lists,
-    merge_neighbor_lists_fast,
-)
+from repro.core.neighbors import KnnResult, merge_neighbor_lists
+
+from ..conftest import loop_merge
 
 
 @st.composite
@@ -41,20 +39,18 @@ def consistent_lists(draw):
 @settings(max_examples=80, deadline=None)
 def test_fast_merge_matches_slow_merge(data):
     a, b, _pool = data
-    slow = merge_neighbor_lists(a, b)
-    fast = merge_neighbor_lists_fast(a, b)
-    np.testing.assert_allclose(slow.distances, fast.distances)
-    # id sets per row agree wherever distances are unique
-    for i in range(slow.m):
-        assert set(slow.indices[i].tolist()) == set(fast.indices[i].tolist())
+    slow = loop_merge(a, b)
+    fast = merge_neighbor_lists(a, b)
+    np.testing.assert_array_equal(fast.distances, slow.distances)
+    np.testing.assert_array_equal(fast.indices, slow.indices)
 
 
 @given(consistent_lists())
 @settings(max_examples=60, deadline=None)
 def test_merge_is_commutative(data):
     a, b, _ = data
-    ab = merge_neighbor_lists_fast(a, b)
-    ba = merge_neighbor_lists_fast(b, a)
+    ab = merge_neighbor_lists(a, b)
+    ba = merge_neighbor_lists(b, a)
     np.testing.assert_allclose(ab.distances, ba.distances)
 
 
@@ -62,8 +58,8 @@ def test_merge_is_commutative(data):
 @settings(max_examples=60, deadline=None)
 def test_merge_is_idempotent(data):
     a, b, _ = data
-    once = merge_neighbor_lists_fast(a, b)
-    twice = merge_neighbor_lists_fast(once, b)
+    once = merge_neighbor_lists(a, b)
+    twice = merge_neighbor_lists(once, b)
     np.testing.assert_allclose(once.distances, twice.distances)
 
 
@@ -71,7 +67,7 @@ def test_merge_is_idempotent(data):
 @settings(max_examples=60, deadline=None)
 def test_merge_never_worsens_any_slot(data):
     a, b, _ = data
-    merged = merge_neighbor_lists_fast(a, b)
+    merged = merge_neighbor_lists(a, b)
     # row-wise: merged slot j is <= both inputs' slot j (sorted lists)
     a_sorted = np.sort(a.distances, axis=1)
     merged_sorted = np.sort(merged.distances, axis=1)
@@ -82,7 +78,7 @@ def test_merge_never_worsens_any_slot(data):
 @settings(max_examples=60, deadline=None)
 def test_merged_ids_unique_per_row(data):
     a, b, _ = data
-    merged = merge_neighbor_lists_fast(a, b)
+    merged = merge_neighbor_lists(a, b)
     for i in range(merged.m):
         real = [j for j in merged.indices[i] if j >= 0]
         assert len(real) == len(set(real))

@@ -49,14 +49,6 @@ class TestPlanEquivalence:
         truth_d, _ = brute_force_knn(X, q, r, 7, p=p)
         np.testing.assert_allclose(got.distances, truth_d, atol=1e-9)
 
-    def test_legacy_select_matches_masked(self, problem):
-        X, q, r = problem
-        plan = GsknnPlan(X, r)
-        masked = plan.execute(q, 6, select="masked", warm_start=False)
-        legacy = plan.execute(q, 6, select="legacy", warm_start=False)
-        np.testing.assert_array_equal(masked.distances, legacy.distances)
-        np.testing.assert_array_equal(masked.indices, legacy.indices)
-
     def test_initial_lists_match_gsknn(self, problem):
         X, q, r = problem
         seed = gsknn(X, q, r[:50], 5)
@@ -157,13 +149,10 @@ class TestWarmStart:
         np.testing.assert_array_equal(got.indices, initial.indices)
         assert got.distances is not initial.distances  # no aliasing
         assert got.indices is not initial.indices
-        # the legacy one-shot path agrees on the merged answer (ids within
-        # an all-tied row are permuted arbitrarily, as the heaps document)
+        # the one-shot path agrees on the merged answer, ids included
         want = gsknn(X, q, r, k, initial=initial)
         np.testing.assert_array_equal(got.distances, want.distances)
-        np.testing.assert_array_equal(
-            np.sort(got.indices, axis=1), np.sort(want.indices, axis=1)
-        )
+        np.testing.assert_array_equal(got.indices, want.indices)
 
 
 class TestStaleness:
@@ -209,11 +198,6 @@ class TestStaleness:
 
 
 class TestValidation:
-    def test_bad_select_rejected(self, problem):
-        X, q, r = problem
-        with pytest.raises(ValidationError, match="select"):
-            GsknnPlan(X, r).execute(q, 3, select="bogus")
-
     def test_bad_initial_shape_rejected(self, problem):
         X, q, r = problem
         bad = KnnResult(np.zeros((2, 3)), np.zeros((2, 3), dtype=np.intp))

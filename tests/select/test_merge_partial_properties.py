@@ -1,7 +1,7 @@
 """Property tests: merging disjoint partial top-k lists is lossless.
 
-:func:`repro.select.mergeselect.merge_partial_topk` is the gather step
-of the scatter/gather shard router: each shard returns its partition's
+:func:`repro.select.vectorized.merge_topk` is the gather step of the
+scatter/gather shard router: each shard returns its partition's
 top ``k_part`` and the router must recover exactly the global top-k.
 These tests generate random partitions of a global candidate pool —
 ragged per-shard sizes, duplicate distances, shards that own nothing —
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import ValidationError
-from repro.select import merge_partial_topk
+from repro.select import merge_topk
 from repro.select.mergeselect import merge_sorted_lists
 
 # a coarse grid of distances forces plenty of exact duplicates, the
@@ -87,7 +87,7 @@ def global_topk(dist: np.ndarray, k: int):
 @given(partitioned_pool(elements=unique_floats))
 @settings(max_examples=120, deadline=None)
 def test_disjoint_partials_recover_global_topk(case):
-    got_d, got_i = merge_partial_topk(case["cat_d"], case["cat_i"], case["k"])
+    got_d, got_i = merge_topk(case["cat_d"], case["cat_i"], case["k"])
     want_d, want_i = global_topk(case["dist"], case["k"])
     np.testing.assert_array_equal(got_d, want_d)
     np.testing.assert_array_equal(got_i, want_i)
@@ -99,7 +99,7 @@ def test_duplicate_distances_break_ties_by_id(case):
     """With heavy distance ties the merge must still be deterministic:
     equal distances order by ascending reference id, independent of
     which shard owned which id."""
-    got_d, got_i = merge_partial_topk(case["cat_d"], case["cat_i"], case["k"])
+    got_d, got_i = merge_topk(case["cat_d"], case["cat_i"], case["k"])
     want_d, want_i = global_topk(case["dist"], case["k"])
     np.testing.assert_array_equal(got_d, want_d)
     np.testing.assert_array_equal(got_i, want_i)
@@ -115,7 +115,7 @@ def test_matches_folded_merge_sorted_lists(case):
     """The vectorized lexsort merge is the batch twin of folding the
     scalar two-finger merge over the partials (tie-free distances: the
     scalar merge resolves ties by fold order, not id)."""
-    got_d, got_i = merge_partial_topk(case["cat_d"], case["cat_i"], case["k"])
+    got_d, got_i = merge_topk(case["cat_d"], case["cat_i"], case["k"])
     k, width = case["k"], case["width"]
     for row in range(case["dist"].shape[0]):
         acc_v = np.empty(0)
@@ -138,33 +138,33 @@ class TestMergePartialTopkEdges:
     def test_all_partials_empty(self):
         d = np.full((2, 6), np.inf)
         i = np.full((2, 6), -1, dtype=np.intp)
-        got_d, got_i = merge_partial_topk(d, i, 3)
+        got_d, got_i = merge_topk(d, i, 3)
         assert np.isinf(got_d).all()
         np.testing.assert_array_equal(got_i, -1)
 
     def test_fewer_real_candidates_than_k(self):
         d = np.array([[0.5, np.inf, np.inf, np.inf]])
         i = np.array([[7, -1, -1, -1]])
-        got_d, got_i = merge_partial_topk(d, i, 3)
+        got_d, got_i = merge_topk(d, i, 3)
         np.testing.assert_array_equal(got_i, [[7, -1, -1]])
         np.testing.assert_array_equal(got_d[:, 1:], np.inf)
 
     def test_single_shard_identity(self):
         d = np.array([[0.1, 0.4, 0.9]])
         i = np.array([[3, 1, 2]])
-        got_d, got_i = merge_partial_topk(d, i, 3)
+        got_d, got_i = merge_topk(d, i, 3)
         np.testing.assert_array_equal(got_d, d)
         np.testing.assert_array_equal(got_i, i)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            merge_partial_topk(np.zeros((2, 4)), np.zeros((2, 3)), 2)
+            merge_topk(np.zeros((2, 4)), np.zeros((2, 3)), 2)
 
     def test_1d_rejected(self):
         with pytest.raises(ValidationError):
-            merge_partial_topk(np.zeros(4), np.zeros(4), 2)
+            merge_topk(np.zeros(4), np.zeros(4), 2)
 
     @pytest.mark.parametrize("k", [0, 7])
     def test_k_out_of_range(self, k):
         with pytest.raises(ValidationError):
-            merge_partial_topk(np.zeros((1, 6)), np.zeros((1, 6)), k)
+            merge_topk(np.zeros((1, 6)), np.zeros((1, 6)), k)

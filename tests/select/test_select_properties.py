@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.arena import WorkspaceArena
 from repro.select import (
-    BatchedNeighborLists,
+    ArenaNeighborLists,
     BinaryMaxHeap,
     DHeap,
     heap_select_smallest,
@@ -102,7 +103,7 @@ def test_heap_invariant_under_arbitrary_streams(k, batches):
 def test_batched_lists_match_heaps_for_any_blocking(m, k, n, width, random):
     rng = np.random.default_rng(random.randint(0, 2**31))
     values = rng.random((m, n))
-    lists = BatchedNeighborLists(m, k)
+    lists = ArenaNeighborLists(m, k, WorkspaceArena())
     heaps = [BinaryMaxHeap(k) for _ in range(m)]
     for start in range(0, n, width):
         block = values[:, start : start + width]

@@ -7,50 +7,72 @@ import pytest
 
 from repro.core.arena import WorkspaceArena
 from repro.errors import ValidationError
-from repro.select import ArenaNeighborLists, BatchedNeighborLists, merge_block
+from repro.select import ArenaNeighborLists, merge_topk
 from repro.select.heap import BinaryMaxHeap
 
 
 class TestMergeBlock:
+    """merge_topk over a list and a block of candidates laid side by side."""
+
     def test_keeps_k_smallest_union(self, rng):
         values = rng.random((4, 3))
-        ids = rng.integers(0, 100, (4, 3))
+        ids = np.arange(12).reshape(4, 3)
         cand = rng.random((4, 6))
-        cand_ids = np.arange(100, 106)
-        new_values, new_ids = merge_block(values, ids, cand, cand_ids)
+        cand_ids = np.broadcast_to(np.arange(100, 106), (4, 6))
+        new_values, new_ids = merge_topk(
+            np.hstack([values, cand]), np.hstack([ids, cand_ids]), 3
+        )
         for i in range(4):
             union = np.concatenate([values[i], cand[i]])
-            np.testing.assert_allclose(
-                np.sort(new_values[i]), np.sort(union)[:3]
-            )
+            np.testing.assert_array_equal(new_values[i], np.sort(union)[:3])
 
     def test_2d_candidate_ids(self, rng):
         values = np.full((2, 2), np.inf)
         ids = np.full((2, 2), -1)
         cand = np.array([[1.0, 2.0], [3.0, 4.0]])
         cand_ids = np.array([[10, 20], [30, 40]])
-        _, new_ids = merge_block(values, ids, cand, cand_ids)
-        assert set(new_ids[0]) == {10, 20}
-        assert set(new_ids[1]) == {30, 40}
+        _, new_ids = merge_topk(
+            np.hstack([values, cand]), np.hstack([ids, cand_ids]), 2
+        )
+        np.testing.assert_array_equal(new_ids, [[10, 20], [30, 40]])
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            merge_block(np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 2)), np.arange(2))
+            merge_topk(np.ones((2, 4)), np.ones((3, 4), dtype=np.intp), 2)
 
     def test_k_wider_than_union_unsupported_shapes(self):
-        # merged width is always >= k because values already has k columns
-        values = np.full((1, 3), np.inf)
-        ids = np.full((1, 3), -1)
-        new_values, _ = merge_block(values, ids, np.array([[1.0]]), np.array([7]))
-        assert new_values.shape == (1, 3)
-        assert 1.0 in new_values
+        # a merge never asks for more than its concatenated width
+        with pytest.raises(ValidationError):
+            merge_topk(np.ones((1, 3)), np.arange(3)[None, :], 4)
+        new_values, new_ids = merge_topk(
+            np.array([[np.inf, np.inf, np.inf, 1.0]]),
+            np.array([[-1, -1, -1, 7]]),
+            3,
+        )
+        np.testing.assert_array_equal(new_values, [[1.0, np.inf, np.inf]])
+        np.testing.assert_array_equal(new_ids, [[7, -1, -1]])
+
+
+def _lists(m, k, **kwargs):
+    return ArenaNeighborLists(m, k, WorkspaceArena(), **kwargs)
+
+
+def _reference(values, ids, k):
+    """Row-wise k smallest (value, id) pairs by a full two-key sort."""
+    order = np.lexsort((ids, values), axis=1)[:, :k]
+    return (
+        np.take_along_axis(values, order, axis=1),
+        np.take_along_axis(ids, order, axis=1),
+    )
 
 
 class TestBatchedNeighborLists:
+    """Tile-by-tile behaviour of the lists from cold (all-empty) rows."""
+
     def test_matches_per_row_heaps(self, rng):
         """The batch structure must agree with scalar heap semantics."""
         m, k, n = 7, 4, 50
-        lists = BatchedNeighborLists(m, k)
+        lists = _lists(m, k)
         heaps = [BinaryMaxHeap(k) for _ in range(m)]
         ids = np.arange(n)
         for start in range(0, n, 13):
@@ -64,7 +86,7 @@ class TestBatchedNeighborLists:
             np.testing.assert_allclose(dist[i], heaps[i].sorted_pairs()[0])
 
     def test_partial_row_update(self, rng):
-        lists = BatchedNeighborLists(10, 2)
+        lists = _lists(10, 2)
         tile = rng.random((4, 5))
         lists.update(3, tile, np.arange(5))
         # rows outside [3, 7) untouched
@@ -73,17 +95,17 @@ class TestBatchedNeighborLists:
         assert (lists.ids[3:7] >= 0).all()
 
     def test_row_range_validation(self):
-        lists = BatchedNeighborLists(4, 2)
+        lists = _lists(4, 2)
         with pytest.raises(ValidationError):
             lists.update(3, np.ones((2, 2)), np.arange(2))
 
     def test_id_count_validation(self):
-        lists = BatchedNeighborLists(2, 2)
+        lists = _lists(2, 2)
         with pytest.raises(ValidationError):
             lists.update(0, np.ones((2, 3)), np.arange(2))
 
     def test_early_discard_skips_blocks(self):
-        lists = BatchedNeighborLists(2, 2)
+        lists = _lists(2, 2)
         lists.update(0, np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([0, 1]))
         merged_before = lists.stats.rows_merged
         # all candidates worse than current max: nothing merges
@@ -92,20 +114,20 @@ class TestBatchedNeighborLists:
         assert lists.stats.rows_offered == 4
 
     def test_discard_fraction_increases_with_stream(self, rng):
-        lists = BatchedNeighborLists(8, 4)
+        lists = _lists(8, 4)
         for start in range(0, 400, 40):
             tile = rng.random((8, 40))
             lists.update(0, tile, np.arange(start, start + 40))
         assert lists.stats.discard_fraction > 0.5
 
     def test_is_complete(self, rng):
-        lists = BatchedNeighborLists(3, 2)
+        lists = _lists(3, 2)
         assert not lists.is_complete()
         lists.update(0, rng.random((3, 4)), np.arange(4))
         assert lists.is_complete()
 
     def test_sorted_rows_ascending(self, rng):
-        lists = BatchedNeighborLists(5, 6)
+        lists = _lists(5, 6)
         lists.update(0, rng.random((5, 30)), np.arange(30))
         dist, idx = lists.sorted()
         assert (np.diff(dist, axis=1) >= 0).all()
@@ -113,69 +135,68 @@ class TestBatchedNeighborLists:
 
     def test_invalid_construction(self):
         with pytest.raises(ValidationError):
-            BatchedNeighborLists(0, 3)
+            _lists(0, 3)
         with pytest.raises(ValidationError):
-            BatchedNeighborLists(3, 0)
+            _lists(3, 0)
 
     def test_candidate_tile_must_be_2d(self):
-        lists = BatchedNeighborLists(2, 2)
+        lists = _lists(2, 2)
         with pytest.raises(ValidationError):
             lists.update(0, np.ones(3), np.arange(3))
 
 
 class TestArenaNeighborLists:
-    @staticmethod
-    def _pair(m, k):
-        return BatchedNeighborLists(m, k), ArenaNeighborLists(
-            m, k, WorkspaceArena()
-        )
-
     def test_streaming_matches_batched(self, rng):
-        """Cold rows fall back, warm rows take the masked path — the final
-        lists must match the legacy structure on tie-free data."""
+        """Open rows take the tile's k-th bound, full rows the root filter;
+        the final lists equal one sort over every candidate, ties by id."""
         m, k, n = 9, 4, 160
-        legacy, masked = self._pair(m, k)
+        lists = _lists(m, k)
+        tiles = []
         for start in range(0, n, 23):
             ids = np.arange(start, min(start + 23, n))
-            tile = rng.random((m, ids.size))
-            legacy.update(0, tile, ids)
-            masked.update(0, tile, ids)
-        ld, li = legacy.sorted()
-        md, mi = masked.sorted()
-        np.testing.assert_array_equal(md, ld)
-        np.testing.assert_array_equal(mi, li)
+            tile = rng.integers(0, 6, (m, ids.size)).astype(float)
+            lists.update(0, tile, ids)
+            tiles.append(tile)
+        want = _reference(
+            np.hstack(tiles), np.broadcast_to(np.arange(n), (m, n)), k
+        )
+        got = lists.sorted()
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
     def test_warm_seeded_thresholds_match(self, rng):
-        """Seeded row_max (the plan's warm start) must behave like legacy
-        lists seeded the same way."""
+        """Seeded lists filter at the seed's worst pair and merge into it."""
         m, k = 6, 3
-        warm = np.full(m, 0.25)
-        legacy, masked = self._pair(m, k)
-        for lists in (legacy, masked):
-            lists.row_max[:] = warm
-            lists._touched[:] = True
-        tile = rng.random((m, 40))
+        seed_d = np.full((m, k), 0.25)
+        seed_i = np.tile(np.array([50, 41, 45]), (m, 1))
+        lists = _lists(m, k)
+        lists.seed(seed_d, seed_i)
+        tile = rng.integers(0, 8, (m, 40)) / 16.0
         ids = np.arange(40)
-        legacy.update(0, tile, ids)
-        masked.update(0, tile, ids)
-        np.testing.assert_array_equal(masked.values, legacy.values)
-        np.testing.assert_array_equal(masked.ids, legacy.ids)
+        lists.update(0, tile, ids)
+        want = _reference(
+            np.hstack([seed_d, tile]),
+            np.hstack([seed_i, np.broadcast_to(ids, (m, 40))]),
+            k,
+        )
+        np.testing.assert_array_equal(lists.values, want[0])
+        np.testing.assert_array_equal(lists.ids, want[1])
 
     def test_zero_survivors_merge_nothing(self):
         m, k = 3, 2
-        _, masked = self._pair(m, k)
-        masked.row_max[:] = 0.1
-        masked._touched[:] = True
-        masked.update(0, np.full((m, 5), 9.0), np.arange(5))
-        assert masked.stats.rows_merged == 0
-        assert (masked.ids == -1).all()
+        lists = _lists(m, k)
+        lists.seed(np.full((m, k), 0.1), np.tile(np.array([9, 8]), (m, 1)))
+        lists.update(0, np.full((m, 5), 9.0), np.arange(5))
+        assert lists.stats.rows_merged == 0
+        np.testing.assert_array_equal(lists.ids, np.tile([8, 9], (m, 1)))
 
     def test_partial_row_update_falls_back(self, rng):
-        """Rows outside the update window stay cold; the fallback must keep
-        them untouched exactly like the legacy structure."""
-        legacy, masked = self._pair(10, 2)
+        """Rows outside the update window stay empty; rows inside hold the
+        tile's best pairs."""
+        lists = _lists(10, 2)
         tile = rng.random((4, 5))
-        legacy.update(3, tile, np.arange(5))
-        masked.update(3, tile, np.arange(5))
-        np.testing.assert_array_equal(masked.ids, legacy.ids)
-        np.testing.assert_array_equal(masked.values, legacy.values)
+        lists.update(3, tile, np.arange(5))
+        assert (lists.ids[:3] == -1).all() and (lists.ids[7:] == -1).all()
+        want = _reference(tile, np.broadcast_to(np.arange(5), (4, 5)), 2)
+        np.testing.assert_array_equal(lists.values[3:7], want[0])
+        np.testing.assert_array_equal(lists.ids[3:7], want[1])
